@@ -72,7 +72,12 @@ def test_variant_batch_speedup():
         cut = pipeline.cut()
         subcircuits = cut.subcircuits
 
-        serial_seconds, serial = _measure(VariantExecutor(), subcircuits)
+        # Pin the per-variant baseline: a bare VariantExecutor() resolves
+        # to the batched default and would compare batched with batched.
+        serial_executor = VariantExecutor(sim_batch=0)
+        serial_seconds, serial = _measure(serial_executor, subcircuits)
+        assert serial_executor.last_report.mode == "serial"
+        assert all(result.mode == "per-variant" for result in serial)
         batched_executor = VariantExecutor(
             sim_batch=_SIM_BATCH, fusion_width=_FUSION_WIDTH
         )

@@ -29,6 +29,7 @@ from ..cutting import (
 from ..cutting.searcher import DEFAULT_MAX_CUTS, DEFAULT_MAX_SUBCIRCUITS
 from ..devices import VirtualDevice
 from ..devices.pool import DevicePool
+from ..postprocess import attribution
 from ..postprocess import (
     ContractionEngine,
     DynamicDefinitionQuery,
@@ -37,6 +38,7 @@ from ..postprocess import (
     Reconstructor,
     StreamStats,
     StreamingReconstructor,
+    TermTensor,
 )
 from .executor import ExecutionReport, VariantExecutor, resolve_sim_batch
 
@@ -179,6 +181,7 @@ class CutQC:
         self._solution: Optional[CutSolution] = None
         self._cut: Optional[CutCircuit] = None
         self._results: Optional[List[SubcircuitResult]] = None
+        self._tensors: Optional[List[TermTensor]] = None
         self._streamer: Optional[StreamingReconstructor] = None
         self.execution_report: Optional[ExecutionReport] = None
 
@@ -266,6 +269,7 @@ class CutQC:
         self._cut = cut
         self._solution = solution
         self._results = None
+        self._tensors = None
         self._streamer = None
         self.execution_report = None
         return self
@@ -281,6 +285,7 @@ class CutQC:
                 "subcircuits"
             )
         self._results = results
+        self._tensors = None
         self._streamer = None
         self.execution_report = None
         return self
@@ -338,6 +343,27 @@ class CutQC:
             self.execution_report = executor.last_report
         return self._results
 
+    def term_tensors(self) -> List[TermTensor]:
+        """The evaluation's term tensors (Eqs. 2-3), attributed once.
+
+        Built on first use, one
+        :func:`~repro.postprocess.attribution.build_term_tensor` per
+        subcircuit, and held for the pipeline's lifetime: FD, DD and
+        streaming queries all contract these same tensors.  Loading a
+        new cut or new results drops them along with the results they
+        were built from.
+        """
+        if self._tensors is None:
+            results = self.evaluate()
+            with trace.span(
+                "query.attribute", {"subcircuits": len(results)}
+            ) as span:
+                self._tensors = [
+                    attribution.build_term_tensor(result) for result in results
+                ]
+                span.set(bytes=sum(t.data.nbytes for t in self._tensors))
+        return self._tensors
+
     # ------------------------------------------------------------------
     def fd_query(
         self,
@@ -352,7 +378,7 @@ class CutQC:
             "query.fd", {"strategy": strategy or self.strategy}
         ):
             reconstructor = Reconstructor(
-                self.cut(), results=self.evaluate(), engine=self.engine
+                self.cut(), tensors=self.term_tensors(), engine=self.engine
             )
             result = reconstructor.reconstruct(
                 workers=workers,
@@ -416,7 +442,7 @@ class CutQC:
             )
         else:
             provider = PrecomputedTensorProvider(
-                self.cut(), results=self.evaluate(), cache=cache
+                self.cut(), tensors=self.term_tensors(), cache=cache
             )
         query = DynamicDefinitionQuery(
             provider,
@@ -440,7 +466,7 @@ class CutQC:
         if self._streamer is None:
             self._streamer = StreamingReconstructor(
                 self.cut(),
-                results=self.evaluate(),
+                tensors=self.term_tensors(),
                 engine=self.engine,
                 pool=self.worker_pool,
             )

@@ -42,7 +42,8 @@ from ..cutting.cutter import CutCircuit
 from ..cutting.variants import SubcircuitResult
 from ..obs import trace
 from ..obs.metrics import get_registry
-from ..postprocess.attribution import TermTensor, build_term_tensor
+from ..postprocess import attribution
+from ..postprocess.attribution import TermTensor
 from ..postprocess.reconstruct import ReconstructionResult, Reconstructor
 from ..sim.batch import fusion_stats
 from .pipeline import CutQC
@@ -299,8 +300,14 @@ class VariationalSession:
         fusion_after = fusion_stats()
 
         tensor_began = time.perf_counter()
-        for index in dirty:
-            self._tensors[index] = build_term_tensor(self._results[index])
+        with trace.span("query.attribute", {"subcircuits": len(dirty)}) as span:
+            for index in dirty:
+                self._tensors[index] = attribution.build_term_tensor(
+                    self._results[index]
+                )
+            span.set(
+                bytes=sum(self._tensors[index].data.nbytes for index in dirty)
+            )
         tensor_seconds = time.perf_counter() - tensor_began
         self._reconstructor = None  # rebuilt lazily from the tensor list
 

@@ -126,6 +126,10 @@ class MIPCutSearcher:
                 self._undo_assign(state, vertex, cluster)
 
         recurse(0)
+        # ``recurse`` closes over itself; clearing its cell breaks that
+        # cycle, so the search state dies with this call rather than at
+        # the next full garbage collection.
+        del recurse
         if best_assignment is None:
             raise CutSearchError(
                 f"no feasible cut into <= {self.max_subcircuits} subcircuits of "

@@ -289,6 +289,10 @@ def batched_variant_probabilities(
             state.apply_fused(ops)
             num_passes += 1
             emit(state, 0, (), combos)
+    # ``emit`` closes over itself and ``probabilities``: clearing its cell
+    # breaks that cycle, so the vectors die with the caller's result
+    # rather than at the next full garbage collection.
+    del emit
     return probabilities, num_passes
 
 
@@ -648,6 +652,7 @@ def batched_noisy_variant_probabilities(
                 emit(branch, line_index + 1, bases + (name,))
 
         emit(state, 0, ())
+        del emit  # break the self-referencing closure cycle (see above)
         return leaves, 1
 
     def trajectory_chunk(combos):
@@ -677,6 +682,7 @@ def batched_noisy_variant_probabilities(
                 emit_clean(branch, line_index + 1, bases + (name,))
 
         emit_clean(clean_state, 0, ())
+        del emit_clean  # break the self-referencing closure cycle
         passes = 1
         if not gate_noise:
             # The serial simulator's shortcut: no gate noise means the
@@ -751,6 +757,7 @@ def batched_noisy_variant_probabilities(
                     )
 
             emit_noisy(state, 0, (), 0, False)
+            del emit_noisy  # break the self-referencing closure cycle
 
         log_prep = np.array(
             [

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cutting.cutter import Subcircuit
-from ..cutting.variants import INIT_LABELS, SubcircuitResult
+from ..cutting.variants import INIT_LABELS, MEAS_BASES, SubcircuitResult
 
 __all__ = [
     "UPSTREAM_TERMS",
@@ -39,6 +39,7 @@ __all__ = [
     "ATTRIBUTION_BASES",
     "TermTensor",
     "build_term_tensor",
+    "attribute_blocks",
     "attributed_vector",
 ]
 
@@ -71,6 +72,17 @@ _SIGNS = {
     "Y": np.array([1.0, -1.0]),
     "Z": np.array([1.0, -1.0]),
 }
+
+#: Per attribution basis (ATTRIBUTION_BASES order): the physical-basis
+#: slot it reads (I reuses the Z circuit) and how its two outcomes
+#: combine under Eq. (3) -- I sums them, X/Y/Z subtract outcome 1.
+_ELIMINATION = tuple(
+    (
+        MEAS_BASES.index("Z" if basis == "I" else basis),
+        np.add if basis == "I" else np.subtract,
+    )
+    for basis in ATTRIBUTION_BASES
+)
 
 
 def attributed_vector(
@@ -132,6 +144,80 @@ class TermTensor:
         return self.data[self.row_for(terms)]
 
 
+def attribute_blocks(
+    blocks: Iterable[Sequence[np.ndarray]],
+    num_init: int,
+    meas_axes: Sequence[int],
+    outcome_shape: Sequence[int],
+) -> np.ndarray:
+    """Attribute the measurement lines away from every init block (Eq. 3).
+
+    ``blocks`` yields, per init combination (in
+    ``itertools.product(INIT_LABELS, repeat=num_init)`` order), that
+    block's ``3^O`` physical-variant vectors in
+    ``itertools.product(MEAS_BASES, repeat=O)`` order.  Each vector has
+    ``outcome_shape`` (or is its flattening), and axis ``meas_axes[k]``
+    holds measurement line ``k``'s outcome bit.  Returns one length-4
+    axis per init line, one per measurement line (in
+    :data:`ATTRIBUTION_BASES` order) and the flattened remaining
+    outcomes -- the input :func:`transform_attributed_to_terms` expects.
+
+    Each block is copied into one reused scratch buffer and its lines
+    are eliminated highest outcome axis first, as four elementwise ops
+    each (I = Z0 + Z1, X = X0 - X1, Y = Y0 - Y1, Z = Z0 - Z1): the same
+    additions, in the same order, as :func:`attributed_vector`, so the
+    result is bit-identical to attributing vector by vector.
+    """
+    num_meas = len(meas_axes)
+    physical = np.empty((3,) * num_meas + tuple(outcome_shape))
+    rows = physical.reshape(3**num_meas, -1)
+    # Ping-pong partner of ``physical``: each elimination shrinks the
+    # block by 4/(3*2), so two thirds of it holds the first result.
+    spare = np.empty(2 * physical.size // 3) if num_meas else None
+    vec_len = rows.shape[1] >> num_meas
+    attributed = np.empty((4**num_init, 4**num_meas * vec_len))
+    for out, vectors in zip(attributed, blocks, strict=True):
+        for row, vector in zip(rows, vectors, strict=True):
+            row[...] = vector.reshape(-1)
+        _eliminate(physical, meas_axes, out, spare)
+    return attributed.reshape((4,) * (num_init + num_meas) + (vec_len,))
+
+
+def _eliminate(
+    physical: np.ndarray,
+    meas_axes: Sequence[int],
+    out: np.ndarray,
+    spare: Optional[np.ndarray],
+) -> None:
+    """Eliminate one block's measurement lines into the contiguous ``out``;
+    ``physical`` and ``spare`` are overwritten as scratch."""
+    num_meas = len(meas_axes)
+    if not num_meas:
+        out[...] = physical.reshape(out.shape)
+        return
+    buffers = (physical.reshape(-1), spare)
+    source = physical
+    order = sorted(range(num_meas), key=lambda k: meas_axes[k], reverse=True)
+    for step, line in enumerate(order):
+        axis = num_meas + meas_axes[line]
+        shape = list(source.shape)
+        shape[line] = 4
+        del shape[axis]
+        if step == num_meas - 1:
+            target = out.reshape(shape)
+        else:
+            size = int(np.prod(shape))
+            target = buffers[(step + 1) % 2][:size].reshape(shape)
+        index = [slice(None)] * source.ndim
+        for basis, (slot, op) in enumerate(_ELIMINATION):
+            index[line] = slot
+            index[axis] = 0
+            zero = source[tuple(index)]
+            index[axis] = 1
+            op(zero, source[tuple(index)], out=target[(slice(None),) * line + (basis,)])
+        source = target
+
+
 def build_term_tensor(result: SubcircuitResult) -> TermTensor:
     """Apply attribution and the 4-term transforms to raw variant results."""
     subcircuit = result.subcircuit
@@ -139,22 +225,17 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
     meas_lines = subcircuit.meas_lines
     num_init = len(init_lines)
     num_meas = len(meas_lines)
-    num_effective = subcircuit.num_effective
-    vec_len = 1 << num_effective
-
-    # Raw attributed tensor: one length-4 axis per init line, one per
-    # measurement line (in ATTRIBUTION_BASES order), then the output axis.
-    shape = (4,) * (num_init + num_meas) + (vec_len,)
-    attributed = np.zeros(shape)
-    for init_combo in itertools.product(range(4), repeat=num_init):
-        init_labels = tuple(INIT_LABELS[i] for i in init_combo)
-        for basis_combo in itertools.product(range(4), repeat=num_meas):
-            bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
-            physical = tuple("Z" if b == "I" else b for b in bases)
-            raw = result.vector(init_labels, physical)
-            attributed[init_combo + basis_combo] = attributed_vector(
-                subcircuit, raw, bases
-            )
+    physical_bases = list(itertools.product(MEAS_BASES, repeat=num_meas))
+    blocks = (
+        [result.vector(inits, bases) for bases in physical_bases]
+        for inits in itertools.product(INIT_LABELS, repeat=num_init)
+    )
+    attributed = attribute_blocks(
+        blocks,
+        num_init,
+        [line.line for line in meas_lines],
+        (2,) * subcircuit.width,
+    )
 
     axis_cut_ids = [line.init_cut for line in init_lines] + [
         line.meas_cut for line in meas_lines
@@ -164,7 +245,7 @@ def build_term_tensor(result: SubcircuitResult) -> TermTensor:
         num_init=num_init,
         num_meas=num_meas,
         axis_cut_ids=axis_cut_ids,
-        num_effective=num_effective,
+        num_effective=subcircuit.num_effective,
         subcircuit_index=subcircuit.index,
     )
 

@@ -30,18 +30,14 @@ from ..cutting.cutter import CutCircuit, Subcircuit
 from ..cutting.variants import INIT_LABELS, MEAS_BASES, SubcircuitVariant, variant_circuit
 from ..sim.sampler import sample_counts
 from ..sim.statevector import simulate_probabilities
-from .attribution import ATTRIBUTION_BASES, TermTensor, transform_attributed_to_terms
+from .attribution import (
+    TermTensor,
+    attribute_blocks,
+    transform_attributed_to_terms,
+)
 from .plan import CachingTensorProvider, Role
 
 __all__ = ["ShotBasedTensorProvider", "estimate_required_shots"]
-
-_SIGNS = {
-    "I": np.array([1.0, 1.0]),
-    "X": np.array([1.0, -1.0]),
-    "Y": np.array([1.0, -1.0]),
-    "Z": np.array([1.0, -1.0]),
-}
-
 
 class ShotBasedTensorProvider(CachingTensorProvider):
     """DD tensor provider that samples shots per recursion (Algorithm 1).
@@ -183,27 +179,24 @@ class ShotBasedTensorProvider(CachingTensorProvider):
         active_wires = [output_lines[p].wire for p in active_positions]
         kept = 1 << len(active_wires)
 
-        shape = (4,) * (num_init + num_meas) + (kept,)
-        attributed = np.zeros(shape)
-        for init_combo in itertools.product(range(4), repeat=num_init):
-            init_labels = tuple(INIT_LABELS[i] for i in init_combo)
-            merged_by_physical: Dict[Tuple[str, ...], np.ndarray] = {}
-            for bases_physical in itertools.product(MEAS_BASES, repeat=num_meas):
-                variant = SubcircuitVariant(inits=init_labels, bases=bases_physical)
-                distribution = self._variant_distribution(subcircuit, variant)
-                counts = sample_counts(distribution, self.shots, self._rng)
-                merged_by_physical[bases_physical] = self._merge_counts(
-                    subcircuit, counts, roles, active_positions
-                )
-            for basis_combo in itertools.product(range(4), repeat=num_meas):
-                bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
-                physical = tuple("Z" if b == "I" else b for b in bases)
-                tensor = merged_by_physical[physical]
-                for axis in reversed(range(num_meas)):
-                    tensor = np.tensordot(
-                        tensor, _SIGNS[bases[axis]], axes=([axis], [0])
+        def blocks():
+            for inits in itertools.product(INIT_LABELS, repeat=num_init):
+                block = []
+                for bases in itertools.product(MEAS_BASES, repeat=num_meas):
+                    variant = SubcircuitVariant(inits=inits, bases=bases)
+                    distribution = self._variant_distribution(subcircuit, variant)
+                    counts = sample_counts(distribution, self.shots, self._rng)
+                    block.append(
+                        self._merge_counts(
+                            subcircuit, counts, roles, active_positions
+                        )
                     )
-                attributed[init_combo + basis_combo] = tensor.reshape(-1)
+                yield block
+
+        # Merged tensors keep the measurement bits as leading axes.
+        attributed = attribute_blocks(
+            blocks(), num_init, range(num_meas), (2,) * num_meas + (kept,)
+        )
 
         axis_cut_ids = [line.init_cut for line in init_lines] + [
             line.meas_cut for line in meas_lines

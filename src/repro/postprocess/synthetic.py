@@ -17,24 +17,19 @@ same definition.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
 from ..cutting.cutter import CutCircuit
-from .attribution import ATTRIBUTION_BASES, TermTensor, transform_attributed_to_terms
+from .attribution import (
+    TermTensor,
+    attribute_blocks,
+    transform_attributed_to_terms,
+)
 from .plan import CachingTensorProvider, Role
 
 __all__ = ["RandomTensorProvider"]
-
-_SIGNS = {
-    "I": np.array([1.0, 1.0]),
-    "X": np.array([1.0, -1.0]),
-    "Y": np.array([1.0, -1.0]),
-    "Z": np.array([1.0, -1.0]),
-}
-
 
 class RandomTensorProvider(CachingTensorProvider):
     """DD tensor provider backed by synthetic subcircuit outputs.
@@ -112,23 +107,14 @@ class RandomTensorProvider(CachingTensorProvider):
                 flat *= mass / flat.sum()
             return flat.reshape((2,) * num_meas + (kept,))
 
-        shape = (4,) * (num_init + num_meas) + (kept,)
-        attributed = np.zeros(shape)
-        # Physical variants: I and Z share a circuit, so draw per physical
-        # basis combo and reuse for the I/Z attribution pair.
-        for init_combo in itertools.product(range(4), repeat=num_init):
-            physical: Dict[Tuple[int, ...], np.ndarray] = {}
-            for basis_combo in itertools.product(range(4), repeat=num_meas):
-                bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
-                key = tuple(3 if b == 0 else b for b in basis_combo)  # I -> Z
-                if key not in physical:
-                    physical[key] = merged_variant()
-                tensor = physical[key]
-                for axis in reversed(range(num_meas)):
-                    tensor = np.tensordot(
-                        tensor, _SIGNS[bases[axis]], axes=([axis], [0])
-                    )
-                attributed[init_combo + basis_combo] = tensor.reshape(-1)
+        # One draw per physical variant: I and Z share a circuit.
+        blocks = (
+            [merged_variant() for _ in range(3**num_meas)]
+            for _ in range(4**num_init)
+        )
+        attributed = attribute_blocks(
+            blocks, num_init, range(num_meas), (2,) * num_meas + (kept,)
+        )
 
         axis_cut_ids = [line.init_cut for line in subcircuit.init_lines] + [
             line.meas_cut for line in subcircuit.meas_lines

@@ -38,7 +38,12 @@ def sample_counts(
     total = clipped.sum()
     if total <= 0:
         raise ValueError("cannot sample from an all-zero distribution")
-    return rng.multinomial(shots, clipped / total).astype(np.int64)
+    # Quantize first: numpy's binomial draws take a different branch for
+    # p above and below 0.5, so a one-ulp difference between two
+    # evaluations of the same distribution (e.g. batched vs per-variant)
+    # would otherwise change every later count under the same seed.
+    quantized = np.round(clipped / total, 12)
+    return rng.multinomial(shots, quantized / quantized.sum()).astype(np.int64)
 
 
 def counts_to_probabilities(counts: np.ndarray) -> np.ndarray:

@@ -1,17 +1,30 @@
 """Tests for cut-term attribution (Eqs. 2-3 of the paper)."""
 
+import itertools
 
 import numpy as np
 import pytest
 
-from repro import QuantumCircuit, cut_circuit, evaluate_subcircuit
+from repro import (
+    CutQC,
+    QuantumCircuit,
+    cut_circuit,
+    cut_circuit_from_assignment,
+    evaluate_subcircuit,
+)
+from repro.circuits import build_circuit_graph
+from repro.cutting.variants import INIT_LABELS
+from repro.library import adder, aqft, supremacy
 from repro.postprocess import (
+    ATTRIBUTION_BASES,
     DOWNSTREAM_TERMS,
     UPSTREAM_TERMS,
     attributed_vector,
     build_term_tensor,
 )
+from repro.postprocess.attribution import transform_attributed_to_terms
 from repro.sim import simulate_probabilities
+from tests.conftest import random_connected_circuit
 
 
 @pytest.fixture
@@ -173,3 +186,109 @@ class TestPaperExampleSection32:
         from repro.utils import bitstring_to_index
 
         assert np.isclose(manual, truth[bitstring_to_index(target)], atol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# Block kernel vs the per-combination reference
+# ----------------------------------------------------------------------
+
+def per_combo_term_tensor(result):
+    """Reference: one :func:`attributed_vector` call per init x basis
+    combination, the loop :func:`build_term_tensor` replaced."""
+    subcircuit = result.subcircuit
+    init_lines = subcircuit.init_lines
+    meas_lines = subcircuit.meas_lines
+    num_init = len(init_lines)
+    num_meas = len(meas_lines)
+    shape = (4,) * (num_init + num_meas) + (1 << subcircuit.num_effective,)
+    attributed = np.zeros(shape)
+    for init_combo in itertools.product(range(4), repeat=num_init):
+        init_labels = tuple(INIT_LABELS[i] for i in init_combo)
+        for basis_combo in itertools.product(range(4), repeat=num_meas):
+            bases = tuple(ATTRIBUTION_BASES[b] for b in basis_combo)
+            physical = tuple("Z" if b == "I" else b for b in bases)
+            raw = result.vector(init_labels, physical)
+            attributed[init_combo + basis_combo] = attributed_vector(
+                subcircuit, raw, bases
+            )
+    return transform_attributed_to_terms(
+        attributed,
+        num_init=num_init,
+        num_meas=num_meas,
+        axis_cut_ids=[line.init_cut for line in init_lines]
+        + [line.meas_cut for line in meas_lines],
+        num_effective=subcircuit.num_effective,
+        subcircuit_index=subcircuit.index,
+    )
+
+
+def _random_cut(seed, max_cuts=5):
+    """A random connected circuit cut along a random gate bipartition."""
+    circuit = random_connected_circuit(5 + seed % 3, 12, seed)
+    graph = build_circuit_graph(circuit)
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        assignment = rng.integers(0, 2, size=graph.num_vertices)
+        if not 0 < assignment.sum() < graph.num_vertices:
+            continue
+        cut = cut_circuit_from_assignment(circuit, list(assignment), graph=graph)
+        if cut.num_cuts <= max_cuts:
+            return cut
+    return None
+
+
+def _subcircuit_results():
+    cuts = [_random_cut(seed) for seed in range(12)]
+    cuts += [
+        cut_circuit(QuantumCircuit(3).cx(0, 1).cx(0, 2).cx(0, 1), [(0, 1), (0, 2)])
+    ]
+    for circuit, device in (
+        (aqft(7), 4),
+        (adder(8, seed=2), 5),
+        (supremacy(6, depth=6, seed=4), 4),
+    ):
+        cuts.append(CutQC(circuit, device).cut())
+    for cut in cuts:
+        if cut is None:
+            continue
+        for subcircuit in cut.subcircuits:
+            yield evaluate_subcircuit(subcircuit, sim_batch=16)
+
+
+class TestBlockKernelBitIdentity:
+    def test_matches_per_combo_reference_bit_for_bit(self):
+        seen = set()
+        for result in _subcircuit_results():
+            subcircuit = result.subcircuit
+            tensor = build_term_tensor(result)
+            reference = per_combo_term_tensor(result)
+            assert np.array_equal(tensor.data, reference.data)
+            assert tensor.data.tobytes() == reference.data.tobytes()
+            assert tensor.cut_order == reference.cut_order
+            assert np.array_equal(tensor.nonzero, reference.nonzero)
+            assert tensor.num_effective == reference.num_effective
+
+            meas_axes = [line.line for line in subcircuit.meas_lines]
+            width = subcircuit.width
+            if not subcircuit.init_lines:
+                seen.add("rho=0")
+            if not meas_axes:
+                seen.add("O=0")
+            if len(subcircuit.cut_ids) >= 3:
+                seen.add("several cuts")
+            if len(meas_axes) >= 2:
+                seen.add("several measurement lines")
+            if meas_axes and meas_axes != list(
+                range(width - len(meas_axes), width)
+            ):
+                seen.add("non-trailing measurement lines")
+            if subcircuit.init_lines and meas_axes:
+                seen.add("init and measurement lines")
+        assert seen == {
+            "rho=0",
+            "O=0",
+            "several cuts",
+            "several measurement lines",
+            "non-trailing measurement lines",
+            "init and measurement lines",
+        }

@@ -162,3 +162,112 @@ class TestShotLevelDD:
         )
         states = query.solution_states(threshold=0.3)
         assert states and states[0][0] == bv_solution(6)
+
+
+class TestTermTensorMemo:
+    """Each evaluation is attributed once; every query reuses the tensors."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.postprocess import attribution
+
+        built = []
+        original = attribution.build_term_tensor
+
+        def counting(result):
+            built.append(result.subcircuit.index)
+            return original(result)
+
+        monkeypatch.setattr(attribution, "build_term_tensor", counting)
+        return built
+
+    def test_queries_attribute_each_subcircuit_once(self, calls):
+        circuit = bv(10)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=6)
+        first = pipeline.fd_query().probabilities
+        pipeline.dd_query(max_active_qubits=4, max_recursions=3)
+        pipeline.fd_top_k(2, 3)
+        again = pipeline.fd_query().probabilities
+        num_subcircuits = pipeline.cut().num_subcircuits
+        assert num_subcircuits >= 2
+        assert sorted(calls) == list(range(num_subcircuits))
+        assert np.array_equal(first, again)
+        assert np.allclose(again, simulate_probabilities(circuit), atol=1e-10)
+
+    def test_queries_share_the_memoized_tensors(self, calls):
+        pipeline = CutQC(aqft(6), max_subcircuit_qubits=4)
+        tensors = pipeline.term_tensors()
+        assert pipeline.term_tensors() is tensors
+        pipeline.fd_top_k(2, 3)
+        streamed = pipeline._streaming_reconstructor().provider.tensors
+        assert all(a is b for a, b in zip(streamed, tensors))
+        query = pipeline.dd_query(max_active_qubits=3, max_recursions=2)
+        assert all(a is b for a, b in zip(query.provider.tensors, tensors))
+        assert len(calls) == len(tensors)
+
+    def test_load_results_drops_the_memo(self, calls):
+        pipeline = CutQC(bv(8), max_subcircuit_qubits=5)
+        tensors = pipeline.term_tensors()
+        pipeline.load_results(pipeline.evaluate())
+        rebuilt = pipeline.term_tensors()
+        assert rebuilt is not tensors
+        assert len(calls) == 2 * len(tensors)
+        for old, new in zip(tensors, rebuilt):
+            assert np.array_equal(old.data, new.data)
+
+    def test_load_cut_drops_the_memo(self, calls):
+        circuit = bv(8)
+        pipeline = CutQC(circuit, max_subcircuit_qubits=5)
+        pipeline.fd_query()
+        pipeline.load_cut(pipeline.cut(), pipeline.solution)
+        assert pipeline._tensors is None
+        result = pipeline.fd_query()
+        assert len(calls) == 2 * pipeline.cut().num_subcircuits
+        assert np.allclose(
+            result.probabilities, simulate_probabilities(circuit), atol=1e-10
+        )
+
+    def test_attribution_span(self):
+        from repro.obs import trace
+
+        pipeline = CutQC(bv(8), max_subcircuit_qubits=5)
+        pipeline.evaluate()
+        with trace.start("root") as root:
+            pipeline.fd_query()
+            pipeline.fd_query()
+        spans = [
+            child
+            for query in root.children
+            for child in query.children
+            if child.name == "query.attribute"
+        ]
+        assert len(spans) == 1  # the second query reuses the tensors
+        tensors = pipeline.term_tensors()
+        assert spans[0].attrs == {
+            "subcircuits": len(tensors),
+            "bytes": sum(tensor.data.nbytes for tensor in tensors),
+        }
+
+
+class TestReleaseWithoutCycleCollector:
+    """A dead pipeline frees its variant vectors by reference counting:
+    no self-referencing closure in cut search or evaluation keeps them
+    alive until the next full garbage collection."""
+
+    def test_results_die_with_the_pipeline(self):
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            pipeline = CutQC(supremacy(8, seed=3), 6)
+            pipeline.fd_query()
+            vectors = [
+                weakref.ref(vector)
+                for result in pipeline.evaluate()
+                for vector in result.probabilities.values()
+            ]
+            del pipeline
+            assert all(ref() is None for ref in vectors)
+        finally:
+            gc.enable()

@@ -458,3 +458,38 @@ class TestVariationalJobs:
             assert record.result["best_cost"] > record.result["initial_cost"]
         finally:
             scheduler.shutdown()
+
+
+class TestRebindAttribution:
+    def test_rebind_attributes_only_dirty_subcircuits(self, monkeypatch):
+        from repro.obs import trace
+        from repro.postprocess import attribution
+
+        built = []
+        original = attribution.build_term_tensor
+
+        def counting(result):
+            built.append(result.subcircuit.index)
+            return original(result)
+
+        monkeypatch.setattr(attribution, "build_term_tensor", counting)
+        circuit = _qaoa()
+        session = VariationalSession(circuit, max_subcircuit_qubits=5)
+        session.rebind(circuit.parameters())
+        assert sorted(built) == list(range(session.cut.num_subcircuits))
+
+        built.clear()
+        flat = list(circuit.parameters())
+        flat[-1] += 0.5
+        with trace.start("root") as root:
+            stats = session.rebind(flat)
+        assert stats.reused_subcircuits >= 1
+        assert sorted(built) == sorted(stats.dirty_subcircuits)
+        (rebind_span,) = root.children
+        (span,) = [c for c in rebind_span.children if c.name == "query.attribute"]
+        assert span.attrs["subcircuits"] == len(stats.dirty_subcircuits)
+        assert span.attrs["bytes"] > 0
+        bound, _ = circuit.bind(flat)
+        assert np.allclose(
+            session.probabilities(), simulate_probabilities(bound), atol=1e-10
+        )
